@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import os
+import pickle
 import resource
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -13,12 +17,13 @@ from typing import Dict, List
 import numpy as np
 
 from repro.positioning import WKNNEstimator
-from repro.positioning.index import SpatialIndex
+from repro.positioning.index import KERNEL_STATS, SpatialIndex
 from repro.serving import (
     MapCompletion,
     MeanFillCompletion,
     VenueShard,
 )
+from repro.serving import service as service_module
 from repro.serving.completion import EncoderCompletion
 
 from loadgen import (
@@ -33,18 +38,16 @@ from loadgen import (
 from spans import Patches, Recorder, coverage, render_table, self_times
 from workloads import WORKLOADS, Requests
 
-try:  # the program's kernel counters, read for index.scan_frac
-    from repro.positioning.index import KERNEL_STATS
-except ImportError:  # pragma: no cover - counters removed
-    KERNEL_STATS = None
+#: The script that times one cold set-up.
+COLD = Path(__file__).resolve().parent / "cold.py"
 
-#: Requests per latency window at the nominal rate and per ladder
-#: window; p99 keeps 20 and 11 samples beyond it.
-NOMINAL_SAMPLES, LADDER_SAMPLES = 2000, 1100
-#: Windows per rate.  The nominal rate reports the median of its
-#: windows' p99 and a ladder rung passes when most windows meet the
-#: SLO, so one stall in one window does not decide a run.
-WINDOWS = 3
+#: Requests per latency window; p99 keeps 11 samples beyond it.
+SAMPLES = 1100
+#: Windows at the nominal rate and per ladder rung.  The nominal rate
+#: reports the median of its windows' p50 and p99, and a ladder rung
+#: passes when most of its windows meet the SLO, so a slow stretch of
+#: the machine or one stall in one window does not decide a run.
+NOMINAL_WINDOWS, WINDOWS = 5, 3
 #: Rows per closed-loop call of the batch replay.
 BATCH_ROWS = 256
 #: Requests in the replay stream: one pass, four times the service's
@@ -52,11 +55,20 @@ BATCH_ROWS = 256
 REPLAY_REQUESTS = 16384
 
 
+#: Serve calls whose time the wrapped layers below them must explain,
+#: and the share of the calls' summed time they must cover.  Single
+#: calls are reported, not held to it: in a one- or two-row flush the
+#: call's own set-up is a few percent of it, and a thread switch to
+#: the submitting thread inside the call's own code shows up there as
+#: time no layer below could have recorded.
+SERVE_CALLS = ("service.serve", "shard.locate")
+MIN_COVERAGE = 0.95
+
 #: End-to-end metrics whose run-to-run spread stays within a bound on
 #: every gated workload; the others are printed but not in the JSON
 #: result, because on a shared 2-vCPU machine their spread between runs
-#: (p99 and the SLO rate from stalls, batch_qps on city-rescan from
-#: cache warmth and timing) exceeded any bound worth gating on.
+#: (p99 and the SLO rate from stalls, batch_qps from the machine's
+#: speed) exceeded any bound worth gating on.
 GATED = ("setup_s", "fix_p50_ms", "error_m_p50", "rss_mb")
 
 
@@ -96,6 +108,15 @@ def concat(reqs: List[Requests]) -> Requests:
     )
 
 
+def peak_rss_kib(pid: int) -> int:
+    """Peak resident set of a live process (``VmHWM``), in KiB."""
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    raise RuntimeError(f"no VmHWM for process {pid}")
+
+
 def _median(values) -> float:
     return float(np.median(values)) if len(values) else 0.0
 
@@ -129,7 +150,8 @@ class Bench:
             submit = wrap(submit)
         stop = wl.start_writes(stack) if wl.writes else None
         try:
-            res = run_open_loop(submit, schedule, rate, flush=wl.flush(stack))
+            res = run_open_loop(submit, schedule, rate, flush=wl.flush(stack),
+                                spin_s=wl.spin_s)
         finally:
             if stop is not None:
                 stop()
@@ -177,18 +199,36 @@ class Bench:
 
     # ------------------------------------------------------------------
     def setup(self):
+        """``setup_s``: the median over ``setup_reps`` fresh processes
+        of the time from starting the process to its first answer (see
+        ``cold.py``).  Returns the stack this run measures, built in
+        this process and not timed."""
         wl, r = self.wl, self.result
-        times = []
-        stack = None
-        for rep in range(wl.setup_reps):
-            if stack is not None:
-                wl.close(stack)
-            t0 = time.perf_counter()
-            stack = wl.build()
-            times.append(time.perf_counter() - t0)
+        inputs = wl.workdir / "inputs.pkl"
+        with open(inputs, "wb") as out:
+            pickle.dump(wl, out, protocol=pickle.HIGHEST_PROTOCOL)
+        times, layers = [], {}
+        for _ in range(wl.setup_reps):
+            t0 = time.monotonic()
+            proc = subprocess.run(
+                [sys.executable, str(COLD), str(inputs)],
+                capture_output=True, text=True, timeout=120,
+            )
+            if proc.returncode:
+                raise RuntimeError(
+                    f"cold set-up failed with code {proc.returncode}:\n"
+                    + proc.stderr[-2000:]
+                )
+            cold = json.loads(proc.stdout.strip().splitlines()[-1])
+            times.append(cold["ready"] - t0)
+            for name, values in cold["layers"].items():
+                layers.setdefault(name, []).extend(values)
+        inputs.unlink()
+        stack = wl.build()
+        wl.setup_layers = layers
         r.put("setup_s", _median(times), "s")
         r.lines.append(
-            f"setup: {len(times)} builds to first answer, "
+            f"setup: {len(times)} fresh processes, start to first answer: "
             + ", ".join(f"{t:.3f}" for t in times) + " s"
         )
         return stack
@@ -209,19 +249,18 @@ class Bench:
             )
             warm, _ = self.phase(stack, wl.nominal, max(0.5, 0.08 * S), 0)
             r.lines.append(self.rate_line("warm-up", warm))
-            window_s = self.window_seconds(wl.nominal, NOMINAL_SAMPLES)
+            window_s = self.window_seconds(wl.nominal, SAMPLES)
             if r.trace:
                 self.traced(stack, window_s, out_dir)
             else:
                 self.untraced(stack, window_s)
             r.errors.extend(wl.reconcile(stack))
+            # Peak resident memory of this process plus the serving
+            # worker processes (both in KiB on Linux).
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            rss += sum(peak_rss_kib(pid) for pid in wl.worker_pids(stack))
         finally:
             wl.close(stack)
-        # Peak resident memory of this process plus, for the fleet, its
-        # worker process (ru_maxrss is in KiB on Linux).
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        if wl.worker_process:
-            rss += resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
         r.put("rss_mb", rss / 1024.0, "MB")
         r.put("failed_frac", r.failed / max(r.attempted, 1), "frac")
         if wl.writes:
@@ -240,6 +279,8 @@ class Bench:
     def nominal_metrics(self, wins) -> None:
         r = self.result
         lat = np.concatenate([res.latency_ms for res, _ in wins])
+        p50s = [float(np.median(res.latency_ms)) for res, _ in wins]
+        p50 = float(np.median(p50s))
         tails = [tail_percentile(res.latency_ms) for res, _ in wins]
         tail = float(np.median([t for _, t in tails]))
         pooled_pct, pooled = tail_percentile(lat)
@@ -248,12 +289,14 @@ class Bench:
         ok = np.isfinite(answers[:, 0])
         error = np.linalg.norm(answers[ok] - truth[ok], axis=1)
         failed = sum(int(res.failed.sum()) for res, _ in wins)
-        r.put("fix_p50_ms", np.median(lat), "ms")
+        r.put("fix_p50_ms", p50, "ms")
         r.put("fix_p99_ms", tail, "ms")
         r.put("error_m_p50", np.median(error), "m")
         r.lines.append(
-            f"fix latency at {wins[0][0].rate:g} q/s: p50 {np.median(lat):.3f} ms "
-            f"over n={lat.size}; p{tails[0][0]:g} per window "
+            f"fix latency at {wins[0][0].rate:g} q/s over n={lat.size}: p50 per "
+            "window " + ", ".join(f"{p:.3f}" for p in p50s)
+            + f" ms (median {p50:.3f}, pooled {np.median(lat):.3f}); "
+            f"p{tails[0][0]:g} per window "
             + ", ".join(f"{t:.3f}" for _, t in tails)
             + f" ms (median {tail:.3f}, each window n>={min(res.n for res, _ in wins)}); "
             f"pooled p{pooled_pct:g} {pooled:.3f} ms, max {lat.max():.1f} ms; "
@@ -264,7 +307,7 @@ class Bench:
     def untraced(self, stack, window_s: float) -> None:
         wl, r = self.wl, self.result
         wins = []
-        for w in range(WINDOWS):
+        for w in range(NOMINAL_WINDOWS):
             wins.append(self.phase(stack, wl.nominal, window_s, 10 + w))
             r.lines.append(self.rate_line("nominal", wins[-1][0]))
         req = concat([q for _, q in wins])
@@ -281,7 +324,7 @@ class Bench:
         )
 
         def passes(rate: float) -> bool:
-            seconds = self.window_seconds(rate, LADDER_SAMPLES)
+            seconds = self.window_seconds(rate, SAMPLES)
             rung = 100 * (1 + list(wl.ladder).index(rate))
             votes = []
             while votes.count(True) * 2 <= WINDOWS and votes.count(False) * 2 <= WINDOWS:
@@ -326,31 +369,40 @@ class Bench:
         with tracing(rec, patches, stack, log, kernel, {}):
             self.replay(stack)
 
-        cover = coverage(rec.spans, "request")
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"spans-{wl.name}-seed{self.seed}.jsonl"
         rec.write(path)
-        table = self_times(rec.spans)
+        table = self_times(rec.spans, rec.outer)
         r.lines.append(f"layer table ({len(rec.spans)} spans -> {path.name}):")
         r.lines.extend(render_table(table))
-        low = sum(c < 0.95 for c in cover)
-        r.lines.append(
-            f"request coverage by child spans: min {min(cover):.4f} over "
-            f"{len(cover)} requests ({low} below 0.95)"
-        )
-        if low:
-            r.errors.append(
-                f"{low} traced requests are less than 95% covered by child spans"
+        cover = []
+        for name in SERVE_CALLS:
+            share, whole = coverage(rec.spans, name, rec.outer)
+            if not share:
+                r.lines.append(f"{name} coverage: no calls in this process")
+                continue
+            cover.append(whole)
+            low = sum(c < MIN_COVERAGE for c in share)
+            r.lines.append(
+                f"{name} coverage by child spans: {whole:.4f} of all "
+                f"{len(share)} calls' time; per call median "
+                f"{_median(share):.4f}, min {min(share):.4f}, {low} calls "
+                f"below {MIN_COVERAGE:g}"
             )
+            if whole < MIN_COVERAGE:
+                r.errors.append(
+                    f"{name}: child spans cover {whole:.2%} of the calls' "
+                    f"time, less than {MIN_COVERAGE:.0%}"
+                )
         p50_plain = float(np.median(np.concatenate([x.latency_ms for x in plain])))
         p50_traced = float(np.median(np.concatenate([x.latency_ms for x in traced])))
         r.lines.append(
             f"tracing overhead: traced - untraced fix_p50_ms = "
             f"{p50_traced - p50_plain:+.4f} ms ({p50_traced:.4f} vs {p50_plain:.4f})"
         )
-        m = layer_metrics(wl, rec.spans, log, delta, kernel, stack, applies0)
+        m = layer_metrics(wl, rec.spans, rec.outer, log, delta, kernel, stack, applies0)
         m["trace.overhead_ms"] = (p50_traced - p50_plain, "ms")
-        m["trace.coverage_min"] = (min(cover), "frac")
+        m["trace.coverage_min"] = (min(cover) if cover else 0.0, "frac")
         m["loadgen.late_ms_p99"] = (
             tail_percentile(np.concatenate([x.late_ms for x in plain]))[1], "ms")
         r.lines.append("per-layer metrics:")
@@ -501,6 +553,15 @@ class TraceLog:
         return ingest
 
 
+class ModuleView:
+    """A copy of a module's namespace with some of its functions
+    replaced, for the code that imported the module to see."""
+
+    def __init__(self, module, **replaced) -> None:
+        self.__dict__.update(vars(module))
+        self.__dict__.update(replaced)
+
+
 def install(rec: Recorder, patches: Patches, stack, log: TraceLog) -> None:
     """Wrap every layer boundary the stack crosses."""
     rows1 = lambda self, q, *a, **k: np.shape(q)[0] if np.ndim(q) == 2 else 1
@@ -511,6 +572,13 @@ def install(rec: Recorder, patches: Patches, stack, log: TraceLog) -> None:
         patches.wrap(fleet.telemetry, "ingest", log.ingest_wrapper)
         return
     service = stack.service
+    # The serve call's own steps: the cache lookup, insert and stats
+    # publish under the service lock, per-venue row gathers and the
+    # per-venue tally.
+    patches.wrap(service, "_lock", lambda lock: rec.lock(lock, "service.locked"))
+    patches.wrap(service_module, "np", lambda np_: ModuleView(
+        np_, stack=rec.wrap(np_.stack, "service.gather")))
+    patches.wrap(service_module, "Counter", lambda o: rec.wrap(o, "service.tally"))
     patches.wrap(stack.pipeline, "_flush", log.flush_wrapper(rec))
     patches.wrap(service, "try_cached", lambda o: rec.wrap(
         o, "service.cache_probe", lambda v, b: len(b)))
@@ -555,25 +623,23 @@ def tracing(rec, patches, stack, log, kernel, delta):
     """Wrappers and kernel counters on for the body; the program
     counters' change over it is added into ``delta``."""
     before = counters(stack)
-    k0 = KERNEL_STATS.snapshot() if KERNEL_STATS else None
-    if KERNEL_STATS:
-        KERNEL_STATS.enable()
+    k0 = KERNEL_STATS.snapshot()
+    KERNEL_STATS.enable()
     install(rec, patches, stack, log)
     try:
         yield
     finally:
         patches.restore()
-        if KERNEL_STATS:
-            KERNEL_STATS.disable()
-            k1 = KERNEL_STATS.snapshot()
-            for key in kernel:
-                kernel[key] += k1[key] - k0[key]
+        KERNEL_STATS.disable()
+        k1 = KERNEL_STATS.snapshot()
+        for key in kernel:
+            kernel[key] += k1[key] - k0[key]
     after = counters(stack)
     for key in before:
         delta[key] = delta.get(key, 0) + after[key] - before[key]
 
 
-def layer_metrics(wl, spans, log, d, kernel, stack, applies0):
+def layer_metrics(wl, spans, outer, log, d, kernel, stack, applies0):
     """The per-layer metrics; 0 for a layer the workload never enters.
 
     Serve-path layers leave out calls made by a delta apply (its
@@ -589,7 +655,7 @@ def layer_metrics(wl, spans, log, d, kernel, stack, applies0):
             sid = parent.get(sid)
         return False
 
-    serve = self_times([s for s in spans if not under_apply(s[4])])
+    serve = self_times([s for s in spans if not under_apply(s[4])], outer)
 
     def per_krow(name, key="total_s"):
         row = serve.get(name)
@@ -609,7 +675,15 @@ def layer_metrics(wl, spans, log, d, kernel, stack, applies0):
         "frac")
     queries = d.get("hits", 0) + d.get("misses", 0)
     m["service.cache_hit_frac"] = (d["hits"] / queries if queries else 0.0, "frac")
-    m["service.route_ms_per_krow"] = (per_krow("service.serve", "self_s"), "ms/krow")
+    # Route: the serve calls minus the shard locate calls they made.
+    locate_s = sum(
+        outer[s[0]][1] - outer[s[0]][0] for s in spans
+        if s[1] == "shard.locate" and not under_apply(s[4])
+    )
+    row = serve.get("service.serve")
+    m["service.route_ms_per_krow"] = (
+        1e6 * (row["total_s"] - locate_s) / row["rows"]
+        if row and row["rows"] else 0.0, "ms/krow")
     m["completion.ms_per_krow"] = (per_krow("completion"), "ms/krow")
     m["estimate.ms_per_krow"] = (per_krow("estimate"), "ms/krow")
     est = serve.get("estimate")

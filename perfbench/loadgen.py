@@ -16,6 +16,7 @@ recorded next to it.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -174,6 +175,7 @@ def run_open_loop(
     *,
     timeout_s: float = 10.0,
     flush: Optional[Callable[[], None]] = None,
+    spin_s: float = 0.0,
 ) -> PhaseResult:
     """Submit request ``i`` via ``submit(i)`` at its due time.
 
@@ -182,9 +184,15 @@ def run_open_loop(
     until ``timeout_s`` to resolve; a raise, an error answer or a
     timeout marks the request failed.  ``flush`` runs once after the
     last submit (the fleet ships its partial bundles there).
+
+    The generator sleeps until ``spin_s`` before each due time, then
+    spins to it, yielding the CPU and the GIL on every turn.  A sleep
+    alone wakes up tens to hundreds of microseconds late; spinning
+    removes that lateness but keeps a core busy for ``spin_s`` per
+    request, which a CPU-bound workload on few cores would feel.
     """
     n = len(schedule)
-    clock, sleep = time.perf_counter, time.sleep
+    clock, sleep, yield_cpu = time.perf_counter, time.sleep, os.sched_yield
     sub_start = np.empty(n)
     failed = np.zeros(n, dtype=bool)
     tickets: List[object] = [None] * n
@@ -193,8 +201,11 @@ def run_open_loop(
     for i in range(n):
         target = due_abs[i]
         now = clock()
-        if target > now:
-            sleep(target - now)
+        if target - now > spin_s:
+            sleep(target - now - spin_s)
+            now = clock()
+        while now < target:
+            yield_cpu()
             now = clock()
         sub_start[i] = now
         try:

@@ -6,12 +6,15 @@ Run from the root of a checkout::
         --seconds 15 --trace 0
     python3 perfbench/run.py --workload all        # every workload
 
-One process drives one workload.  It builds the serving stack
-(``setup_s``, the median of several builds to the first answer), then
-submits requests open-loop, each at its due time, from this thread:
+One process drives one workload.  It times the set-up in fresh
+processes (``setup_s``, the median over several of them of the time
+from process start to the first answer, see ``cold.py``), builds the
+serving stack it measures, then submits requests open-loop, each at
+its due time, from this thread:
 
-* ``--trace 0``: a warm-up; three windows at the workload's nominal
-  rate (``fix_p50_ms``, ``fix_p99_ms``, ``error_m_p50``); one closed-loop
+* ``--trace 0``: a warm-up; five windows at the workload's nominal
+  rate (``fix_p50_ms`` and ``fix_p99_ms``, the medians of the windows'
+  p50 and p99, and ``error_m_p50``); one closed-loop
   pass over a fresh request stream in 256-row calls (``batch_qps``);
   and a binary search of the fixed rate ladder for the highest rate
   whose p99 meets the 50 ms limit without a growing backlog
@@ -20,7 +23,9 @@ submits requests open-loop, each at its due time, from this thread:
   interleaved, then a traced replay.  Every layer boundary records a
   span; the run prints the layer table, writes the spans to
   ``.perfbench_out/``, and reports per-layer metrics and the tracing
-  overhead.
+  overhead.  It checks that the wrapped layers cover at least 95% of
+  the summed time of the serve calls (``service.serve``,
+  ``shard.locate``).
 
 Every end-to-end metric is printed with its unit.  The last line of
 standard output is one JSON object with ``correct``, ``attempted``,

@@ -24,6 +24,8 @@ class Recorder:
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
+        #: Span id -> the interval of its wrapper, bookkeeping included.
+        self.outer: Dict[int, Tuple[float, float]] = {}
         self._ids = itertools.count(1)
         self._local = threading.local()
 
@@ -54,9 +56,14 @@ class Recorder:
         rows_of: Callable[..., int] = lambda *a, **k: 0,
     ) -> Callable:
         """``fn`` with a span around every call, nested under the
-        calling thread's innermost open span."""
+        calling thread's innermost open span.
+
+        The span is the call of ``fn``; :attr:`outer` keeps the
+        wrapper's interval, which adds the span's own bookkeeping.
+        """
 
         def traced(*args, **kwargs):
+            entered = time.perf_counter()
             stack = self._stack()
             parent = stack[-1] if stack else None
             sid = next(self._ids)
@@ -68,12 +75,16 @@ class Recorder:
                 end = time.perf_counter()
                 stack.pop()
                 rid = getattr(self._local, "rid", None)
-                self.spans.append(
-                    (sid, name, start, end, parent, rid,
-                     int(rows_of(*args, **kwargs)))
-                )
+                rows = int(rows_of(*args, **kwargs))
+                self.spans.append((sid, name, start, end, parent, rid, rows))
+                self.outer[sid] = (entered, time.perf_counter())
 
         return traced
+
+    def lock(self, lock, name: str) -> "TracedLock":
+        """``lock`` with a span over every ``with`` block that holds
+        it, from the wait for it to its release."""
+        return TracedLock(self, lock, name)
 
     def call_as(self, rid: int, fn: Callable, *args):
         """Run ``fn(*args)`` with spans it opens tagged ``rid``."""
@@ -84,6 +95,8 @@ class Recorder:
             self._local.rid = None
 
     def write(self, path) -> None:
+        """One JSON object per span; ``outer`` is the wrapper's
+        interval where the span has one."""
         with open(path, "w") as out:
             for sid, name, start, end, parent, rid, rows in self.spans:
                 out.write(
@@ -96,10 +109,46 @@ class Recorder:
                             "parent": parent,
                             "request": rid,
                             "rows": rows,
+                            "outer": self.outer.get(sid),
                         }
                     )
                     + "\n"
                 )
+
+
+class TracedLock:
+    """A lock used through ``with`` that records a span per hold."""
+
+    def __init__(self, rec: Recorder, lock, name: str) -> None:
+        self._rec, self._lock, self._name = rec, lock, name
+        self._open = threading.local()
+
+    def __enter__(self):
+        entered = time.perf_counter()
+        stack = self._rec._stack()
+        parent = stack[-1] if stack else None
+        sid = next(self._rec._ids)
+        stack.append(sid)
+        held = getattr(self._open, "held", None)
+        if held is None:
+            held = self._open.held = []
+        start = time.perf_counter()
+        self._lock.__enter__()
+        held.append((sid, entered, start, parent))
+        return self
+
+    def __exit__(self, *exc):
+        sid, entered, start, parent = self._open.held.pop()
+        try:
+            return self._lock.__exit__(*exc)
+        finally:
+            end = time.perf_counter()
+            self._rec._stack().pop()
+            rid = getattr(self._rec._local, "rid", None)
+            self._rec.spans.append(
+                (sid, self._name, start, end, parent, rid, 0)
+            )
+            self._rec.outer[sid] = (entered, time.perf_counter())
 
 
 class Patches:
@@ -134,16 +183,28 @@ def covered(intervals: Iterable[Tuple[float, float]], lo: float, hi: float) -> f
     return total
 
 
-def self_times(spans: Sequence[Span]) -> Dict[str, Dict[str, float]]:
-    """Per span name: calls, rows, total and self seconds.
-
-    A span's self time is its duration minus the part of its interval
-    that its child spans cover.
-    """
+def _children(
+    spans: Sequence[Span], outer: Optional[Dict[int, Tuple[float, float]]]
+) -> Dict[int, List[Tuple[float, float]]]:
+    """Parent id -> its children's intervals; a child's ``outer``
+    interval when it has one, so its bookkeeping counts as covered."""
+    outer = outer or {}
     children: Dict[int, List[Tuple[float, float]]] = {}
     for sid, _, start, end, parent, _, _ in spans:
         if parent is not None:
-            children.setdefault(parent, []).append((start, end))
+            children.setdefault(parent, []).append(outer.get(sid, (start, end)))
+    return children
+
+
+def self_times(
+    spans: Sequence[Span], outer: Optional[Dict[int, Tuple[float, float]]] = None
+) -> Dict[str, Dict[str, float]]:
+    """Per span name: calls, rows, total and self seconds.
+
+    A span's self time is its duration minus the part of its interval
+    that its child spans (their ``outer`` intervals, when given) cover.
+    """
+    children = _children(spans, outer)
     table: Dict[str, Dict[str, float]] = {}
     for sid, name, start, end, _, _, rows in spans:
         row = table.setdefault(
@@ -157,17 +218,22 @@ def self_times(spans: Sequence[Span]) -> Dict[str, Dict[str, float]]:
     return table
 
 
-def coverage(spans: Sequence[Span], root: str) -> List[float]:
-    """For every ``root`` span, the share of it its children cover."""
-    children: Dict[int, List[Tuple[float, float]]] = {}
-    for sid, _, start, end, parent, _, _ in spans:
-        if parent is not None:
-            children.setdefault(parent, []).append((start, end))
-    out = []
+def coverage(
+    spans: Sequence[Span],
+    root: str,
+    outer: Optional[Dict[int, Tuple[float, float]]] = None,
+) -> Tuple[List[float], float]:
+    """``(per-span shares, share of the summed time)`` that the
+    children of the ``root`` spans cover."""
+    children = _children(spans, outer)
+    shares, inner, total = [], 0.0, 0.0
     for sid, name, start, end, _, _, _ in spans:
         if name == root and end > start:
-            out.append(covered(children.get(sid, ()), start, end) / (end - start))
-    return out
+            part = covered(children.get(sid, ()), start, end)
+            shares.append(part / (end - start))
+            inner += part
+            total += end - start
+    return shares, (inner / total if total else 0.0)
 
 
 def render_table(table: Dict[str, Dict[str, float]]) -> List[str]:

@@ -1,5 +1,6 @@
 """Tests of the benchmark's own code (``python -m pytest perfbench``)."""
 
+import threading
 import time
 
 import numpy as np
@@ -11,7 +12,7 @@ from loadgen import (
     search_ladder,
     tail_percentile,
 )
-from spans import Patches, Recorder, covered, self_times
+from spans import Patches, Recorder, coverage, covered, self_times
 
 
 def _schedule(seed):
@@ -126,3 +127,45 @@ def test_ladder_search_returns_highest_passing_rung():
     assert search_ladder(ladder, lambda rate: rate <= 450) == 400
     assert search_ladder(ladder, lambda rate: True) == 700
     assert search_ladder(ladder, lambda rate: False) == 0.0
+
+
+def test_children_cover_with_their_outer_intervals():
+    # The parent's call is [0, 10]; its child ran [2, 8] but its wrapper
+    # held [1, 9]: the wrapper's bookkeeping counts as covered.
+    spans = [
+        (1, "serve", 0.0, 10.0, None, None, 0),
+        (2, "locate", 2.0, 8.0, 1, None, 0),
+        (3, "serve", 20.0, 30.0, None, None, 0),
+    ]
+    outer = {2: (1.0, 9.0)}
+    shares, whole = coverage(spans, "serve", outer)
+    assert shares == [0.8, 0.0]
+    assert whole == 8.0 / 20.0
+    assert coverage(spans, "serve")[0] == [0.6, 0.0]
+    assert self_times(spans, outer)["serve"]["self_s"] == 2.0 + 10.0
+
+
+def test_traced_lock_records_each_hold_under_the_open_span():
+    rec = Recorder()
+    lock = rec.lock(threading.RLock(), "locked")
+
+    def work():
+        with lock:
+            with lock:  # re-entered
+                pass
+
+    rec.wrap(work, "serve")()
+    by_name = {}
+    for span in rec.spans:
+        by_name.setdefault(span[1], []).append(span)
+    (serve,) = by_name["serve"]
+    outer, inner = sorted(by_name["locked"], key=lambda s: s[2])
+    assert outer[4] == serve[0] and inner[4] == outer[0]
+    assert serve[2] <= outer[2] <= inner[2] <= inner[3] <= outer[3] <= serve[3]
+    assert set(rec.outer) == {serve[0], outer[0], inner[0]}
+
+
+def test_requests_are_never_submitted_before_they_are_due():
+    schedule = make_schedule([5], rate=2000.0, seconds=0.2, pool_sizes=[1])
+    res = run_open_loop(lambda i: _Resolved(), schedule, rate=2000.0)
+    assert np.all(res.sub_start >= res.due_abs)

@@ -9,6 +9,7 @@ and checks the answers it got.  The *why* of each workload is in
 
 from __future__ import annotations
 
+import os
 import shutil
 import threading
 import time
@@ -35,7 +36,7 @@ from repro.serving import (
     VenueShard,
 )
 
-from loadgen import Schedule
+from loadgen import Schedule, make_schedule
 
 
 #: Seed of the synthetic venues.  Venues stay fixed across runs, like
@@ -86,7 +87,11 @@ class Workload:
     rescan = 0.0
     setup_reps = 3
     writes = False
-    worker_process = False
+    #: How long before each due time the generator stops sleeping and
+    #: spins (see ``loadgen.run_open_loop``).  0 where the median fix
+    #: takes milliseconds, so a sleep's lateness is small beside it and
+    #: a spinning generator would take a core from the program.
+    spin_s = 0.0
 
     def __init__(self, workdir: Path):
         self.workdir = workdir
@@ -120,6 +125,10 @@ class Workload:
     def flush(self, stack) -> Optional[Callable[[], None]]:
         return None
 
+    def worker_pids(self, stack) -> List[int]:
+        """Serving processes other than this one."""
+        return []
+
     def prime(self, stack) -> None:
         """Bring a fresh stack to the state the workload measures."""
 
@@ -128,7 +137,10 @@ class Workload:
         return []
 
     def reconcile(self, stack) -> List[str]:
-        """Program counters that must add up."""
+        """Program counters that must add up.  Stops the pipeline
+        first: its flusher counts a batch after resolving its tickets,
+        so only a drained pipeline has final counters."""
+        stack.pipeline.stop()
         errors = []
         s = stack.service.stats
         if s.queries != s.cache_hits + s.cache_misses:
@@ -163,13 +175,12 @@ def _pipeline_stack(service, shards, first_venue, first_scan):
 class MallBigmap(Workload):
     """One 32768-record, 96-AP venue; fresh scans with 25% NaN holes and
     no re-scans, so kernel time in positioning dominates and the cache
-    is bypassed.  Runnable, but not in ``BENCHMARK.json``: its latency
-    and throughput follow the machine's load through the two-thread
-    BLAS calls of the spatial index (IQR/median of fix_p50_ms 0.35 and
-    of batch_qps 0.40 over ten seeds), too wide to gate on."""
+    is bypassed.  The nominal rate sits well below the knee (near
+    1000 q/s on two cores), where the median fix is steady from run to
+    run."""
 
     name = "mall-bigmap"
-    nominal = 1000.0
+    nominal = 300.0
     ladder = (2000, 3000, 3400, 3800, 4300, 4800, 5400)
     setup_reps = 5
     N, D, SIDE = 32768, 96, 200.0
@@ -272,12 +283,23 @@ class CityPool:
 
 
 class CityRescan(Workload):
+    """256 small venues, Zipf 1.1, 50% re-scans, cache on: per-request
+    Python in the service and the pipeline dominates.  Runnable, but
+    not in ``BENCHMARK.json``: its median fix is a cache hit answered
+    at submit in 50-110 us of Python, which followed the shared
+    machine's speed (IQR/median over ten seeds 0.20 and 0.38, set
+    medians 0.113 and 0.051 ms), too wide to gate on."""
+
     name = "city-rescan"
     nominal = 1000.0
     ladder = (8000, 14000, 16000, 18000, 20000, 22500, 25000)
     zipf = 1.1
     rescan = 0.5
     setup_reps = 5
+    #: Most fixes are cache hits answered at submit in about 0.1 ms,
+    #: of which a sleep's wake-up lateness would be a large share.
+    spin_s = 0.0003
+    PRIME = 32768
 
     def __init__(self, workdir):
         super().__init__(workdir)
@@ -288,6 +310,21 @@ class CityRescan(Workload):
 
     def requests(self, schedule):
         return self.pool.requests(schedule)
+
+    def prime(self, stack):
+        """Serve PRIME requests of this workload's traffic in 256-row
+        batches, so the answer caches and the fleet's resident venues
+        start at their steady state: from cold, the hit share and with
+        it the median drift for tens of seconds."""
+        schedule = make_schedule(
+            [VENUE_SEED, 5], rate=self.nominal,
+            seconds=self.PRIME / self.nominal, pool_sizes=self.pool_sizes(),
+            zipf=self.zipf, rescan_rate=self.rescan,
+        )
+        req = self.requests(schedule)
+        serve = self.batch_server(stack, req)
+        for start in range(0, len(req.names) - 255, 256):
+            serve(np.arange(start, start + 256))
 
     def build(self):
         shards = self.pool.shards()
@@ -307,12 +344,12 @@ class CityFleet(CityRescan):
     nominal = 1000.0
     ladder = (3000, 4000, 5000, 6000, 7000, 8000, 9000)
     setup_reps = 3
-    worker_process = True
+    spin_s = 0.0
     BUDGET_MB = 1.0
 
     def build(self):
         shards = self.pool.shards()
-        root = self.workdir / f"store-{len(self.setup_layers.get('setup.fleet_start_s', []))}"
+        root = self.workdir / f"store-{os.getpid()}-{time.monotonic_ns()}"
         store = ArtifactStore(root)
         mapping = {}
         for shard in shards:
@@ -339,6 +376,9 @@ class CityFleet(CityRescan):
 
     def flush(self, stack):
         return stack.fleet.flush
+
+    def worker_pids(self, stack):
+        return [w.proc.pid for w in stack.fleet._workers if w.proc is not None]
 
     def batch_server(self, stack, req):
         fleet, names, rows = stack.fleet, req.names, req.rows
