@@ -16,8 +16,8 @@ Serving API
   :class:`ServiceStats`.
 * :class:`ServingPipeline` — thread-safe micro-batching front end:
   many worker threads submit individual queries, one flusher thread
-  coalesces them (flush on ``max_batch`` rows or ``max_delay_ms``)
-  and routes them through the batched query path; a submit-time cache
+  serves whatever is queued (up to ``max_batch`` rows) whenever it is
+  idle, through the batched query path; a submit-time cache
   fast path answers re-scans without enqueueing.
 * :mod:`repro.serving.loadgen` — the ``python -m repro load-test``
   concurrent workload generator: replays scenario mixes (Zipf venue

@@ -771,6 +771,7 @@ class _Worker:
         "conn",
         "send_lock",
         "buffer",
+        "inflight",
         "generation",
         "final_stats",
     )
@@ -782,6 +783,9 @@ class _Worker:
         self.conn = None
         self.send_lock = threading.Lock()
         self.buffer: List[Tuple[int, str, np.ndarray]] = []
+        #: Rows shipped to the current generation and not yet answered
+        #: by it; the buffer ships when this drops to zero.
+        self.inflight = 0
         self.generation = 0
         self.final_stats: Optional[WorkerStats] = None
 
@@ -802,10 +806,11 @@ class ShardFleet:
         Fleet-wide budget, split evenly across the workers' shard
         registries; ``None`` disables eviction.
     bundle_size:
-        Requests buffered per worker before the submitting thread
-        ships the bundle itself; a background flusher ships partial
-        buffers every ``flush_interval_ms`` so a lone request is never
-        stranded.
+        Most rows shipped to one worker in one bundle.  A worker with
+        nothing in flight gets its buffer at once; rows that arrive
+        while it is busy ship when its previous rows come back, or as
+        soon as the buffer reaches ``bundle_size`` — so bundle size
+        follows load and no timer decides when to ship.
     start_method:
         ``multiprocessing`` start method; default ``"fork"`` where
         available (fast, inherits the warmed import state), else
@@ -833,7 +838,6 @@ class ShardFleet:
         workers: int = 4,
         memory_budget_mb: Optional[float] = None,
         bundle_size: int = 256,
-        flush_interval_ms: float = 2.0,
         start_method: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -862,7 +866,6 @@ class ShardFleet:
             else memory_budget_mb / workers
         )
         self.bundle_size = int(bundle_size)
-        self._flush_interval = float(flush_interval_ms) / 1e3
         self._workers = [
             _Worker(
                 wid,
@@ -905,8 +908,6 @@ class ShardFleet:
         self._stats_replies: Dict[int, WorkerStats] = {}
         self._stats_cv = threading.Condition()
         self._next_token = 0
-        self._stop_event = threading.Event()
-        self._flusher: Optional[threading.Thread] = None
         self._started = False
         self._closed = False
 
@@ -918,11 +919,7 @@ class ShardFleet:
             raise ServingError("fleet already started")
         self._started = True
         for worker in self._workers:
-            self._spawn(worker)
-        self._flusher = threading.Thread(
-            target=self._flush_loop, name="fleet-flusher", daemon=True
-        )
-        self._flusher.start()
+            worker.conn = self._spawn(worker)
         return self
 
     def __enter__(self) -> "ShardFleet":
@@ -931,7 +928,9 @@ class ShardFleet:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _spawn(self, worker: _Worker) -> None:
+    def _spawn(self, worker: _Worker):
+        """Start ``worker``'s process and collector thread for its
+        current generation → the parent end of its pipe."""
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -950,7 +949,6 @@ class ShardFleet:
         proc.start()
         child_conn.close()
         worker.proc = proc
-        worker.conn = parent_conn
         generation = worker.generation
         threading.Thread(
             target=self._collect,
@@ -958,6 +956,7 @@ class ShardFleet:
             name=f"fleet-collector-{worker.index}.{generation}",
             daemon=True,
         ).start()
+        return parent_conn
 
     def close(self, timeout: float = 10.0) -> None:
         """Drain in-flight work, stop the workers, fail leftovers.
@@ -974,7 +973,6 @@ class ShardFleet:
             self.wait_outstanding(0, timeout=timeout)
         except ServingError:
             pass
-        self._stop_event.set()
         for worker in self._workers:
             self._send(worker, ("stop",), respawn=False)
         for worker in self._workers:
@@ -1000,8 +998,6 @@ class ShardFleet:
                     ticket.done_at = now
                     ticket.done = True
                 self._done_cv.notify_all()
-        if self._flusher is not None:
-            self._flusher.join(timeout=2.0)
 
     # ------------------------------------------------------------------
     # Routing + submission
@@ -1021,10 +1017,9 @@ class ShardFleet:
     def submit(self, venue: str, scan: np.ndarray) -> Ticket:
         """Queue one raw scan for its owning worker; non-blocking.
 
-        The bundle ships when it reaches ``bundle_size`` (in the
-        submitting thread) or on the next flusher tick.  Unknown
-        venues fail here, in the caller — they never cost a pipe
-        round-trip.
+        The row ships at once if its worker has nothing in flight,
+        else with the worker's next bundle.  Unknown venues fail here,
+        in the caller — they never cost a pipe round-trip.
         """
         if not self._started or self._closed:
             raise ServingError("fleet is not running")
@@ -1038,7 +1033,6 @@ class ShardFleet:
             raise ServingError("submit() takes a single (D,) scan")
         worker = self._workers[partition_venue(venue, self.n_workers)]
         ticket = Ticket(self._done_cv)
-        bundle = None
         with self._mu:
             rid = self._next_rid
             self._next_rid += 1
@@ -1048,11 +1042,9 @@ class ShardFleet:
             self._outstanding += 1
             self._c_requests.add(1)
             worker.buffer.append((rid, venue, row))
-            if len(worker.buffer) >= self.bundle_size:
-                bundle = worker.buffer
-                worker.buffer = []
-        if bundle is not None:
-            self._send(worker, ("batch", bundle))
+            ship = self._take_locked(worker)
+        if ship is not None:
+            self._send_bundle(worker, ship)
         return ticket
 
     def submit_many(
@@ -1085,7 +1077,7 @@ class ShardFleet:
                 (venue, row, partition_venue(venue, self.n_workers))
             )
         tickets: List[Ticket] = []
-        bundles: List[Tuple[_Worker, list]] = []
+        ships: List[Tuple[_Worker, Optional[Tuple[list, int]]]] = []
         with self._mu:
             now = time.perf_counter()
             self._c_requests.add(len(prepared))
@@ -1098,11 +1090,14 @@ class ShardFleet:
                 self._outstanding += 1
                 worker.buffer.append((rid, venue, row))
                 if len(worker.buffer) >= self.bundle_size:
-                    bundles.append((worker, worker.buffer))
-                    worker.buffer = []
+                    ships.append((worker, self._take_locked(worker)))
                 tickets.append(ticket)
-        for worker, bundle in bundles:
-            self._send(worker, ("batch", bundle))
+            # The rest of the chunk ships now to every idle worker.
+            for worker in self._workers:
+                ships.append((worker, self._take_locked(worker)))
+        for worker, ship in ships:
+            if ship is not None:
+                self._send_bundle(worker, ship)
         return tickets
 
     def locate(
@@ -1111,21 +1106,16 @@ class ShardFleet:
         scan: np.ndarray,
         timeout: Optional[float] = 30.0,
     ) -> np.ndarray:
-        """Submit one scan, flush, and wait for its ``(2,)`` answer."""
-        ticket = self.submit(venue, scan)
-        self.flush()
-        return ticket.result(timeout)
+        """Submit one scan and wait for its ``(2,)`` answer."""
+        return self.submit(venue, scan).result(timeout)
 
     def flush(self) -> None:
-        """Ship every worker's partial buffer now."""
+        """Ship every worker's buffer now, busy or not."""
         for worker in self._workers:
-            bundle = None
             with self._mu:
-                if worker.buffer:
-                    bundle = worker.buffer
-                    worker.buffer = []
-            if bundle is not None:
-                self._send(worker, ("batch", bundle))
+                ship = self._take_locked(worker, force=True)
+            if ship is not None:
+                self._send_bundle(worker, ship)
 
     def wait_outstanding(
         self, limit: int = 0, timeout: Optional[float] = None
@@ -1155,17 +1145,52 @@ class ShardFleet:
     # ------------------------------------------------------------------
     # Background machinery
     # ------------------------------------------------------------------
-    def _flush_loop(self) -> None:
-        while not self._stop_event.wait(self._flush_interval):
-            self.flush()
+    def _take_locked(
+        self, worker: _Worker, force: bool = False
+    ) -> Optional[Tuple[list, int]]:
+        """The credit rule, under ``_mu``: take ``worker``'s buffer to
+        ship if the worker has nothing in flight, the buffer is full,
+        or ``force`` → ``(bundle, generation)``, else ``None``.
 
-    def _send(self, worker: _Worker, message, *, respawn=True) -> None:
-        generation = worker.generation
+        While a respawn is under way (``conn is None``) rows stay
+        buffered: the respawn resubmits every pending row itself.
+        """
+        bundle = worker.buffer
+        if not bundle or worker.conn is None:
+            return None
+        if not (
+            force
+            or worker.inflight == 0
+            or len(bundle) >= self.bundle_size
+        ):
+            return None
+        worker.buffer = []
+        worker.inflight += len(bundle)
+        return bundle, worker.generation
+
+    def _send_bundle(
+        self, worker: _Worker, ship: Tuple[list, int]
+    ) -> None:
+        bundle, generation = ship
+        self._send(worker, ("batch", bundle), generation=generation)
+
+    def _send(
+        self,
+        worker: _Worker,
+        message,
+        *,
+        generation: Optional[int] = None,
+        respawn=True,
+    ) -> None:
+        if generation is None:
+            generation = worker.generation
         try:
             with worker.send_lock:
                 conn = worker.conn
-                if conn is None:
-                    raise BrokenPipeError
+                if worker.generation != generation or conn is None:
+                    # A respawn began after this message was built;
+                    # it resubmits every row still pending.
+                    return
                 conn.send(message)
         except (BrokenPipeError, OSError, ValueError):
             # The worker died with this message in the pipe.  Any
@@ -1182,11 +1207,14 @@ class ShardFleet:
                 # TypeError/ValueError leak out of Connection.recv
                 # when close() invalidates the handle mid-read — a
                 # shutdown artifact, not a worker crash.
-                if not self._closed and not self._stop_event.is_set():
+                if not self._closed:
                     self._handle_crash(worker, generation)
                 return
             kind = msg[0]
             if kind == "done":
+                self._return_credit(
+                    worker, generation, len(msg[1]) + len(msg[3])
+                )
                 self._resolve(msg[1], msg[2], msg[3])
                 if len(msg) > 4 and msg[4]:
                     self.telemetry.ingest(msg[4])
@@ -1197,6 +1225,26 @@ class ShardFleet:
             elif kind == "stopped":
                 worker.final_stats = msg[1]
                 return
+
+    def _return_credit(
+        self, worker: _Worker, generation: int, rows: int
+    ) -> None:
+        """``worker``'s ``generation`` answered ``rows`` rows; once
+        nothing is left in flight, ship what was buffered meanwhile.
+
+        Answers from a dead generation do not count: the respawn reset
+        the count to the rows it resubmitted, and those come back
+        under the new generation.
+        """
+        with self._mu:
+            if worker.generation != generation:
+                return
+            worker.inflight -= rows
+            ship = (
+                self._take_locked(worker) if worker.inflight == 0 else None
+            )
+        if ship is not None:
+            self._send_bundle(worker, ship)
 
     def _resolve(
         self,
@@ -1242,21 +1290,17 @@ class ShardFleet:
 
         Guarded by the worker's generation counter so the collector
         (EOF) and a sender (broken pipe) noticing the same corpse
-        respawn it once, not twice.
+        respawn it once, not twice.  Rows submitted while the
+        replacement starts stay buffered (``conn is None``) and join
+        the resubmission, which resets the in-flight count to exactly
+        the rows it ships.
         """
         with self._mu:
             if worker.generation != generation or self._closed:
                 return
             worker.generation += 1
+            generation = worker.generation
             self._c_respawns.add(1)
-            redo = [
-                (rid, venue, row)
-                for rid, (venue, row, _, wid, _)
-                in self._pending.items()
-                if wid == worker.index
-            ]
-            redo.extend(worker.buffer)
-            worker.buffer = []
             old_conn, old_proc = worker.conn, worker.proc
             worker.conn = worker.proc = None
         if old_conn is not None:
@@ -1266,9 +1310,26 @@ class ShardFleet:
                 pass
         if old_proc is not None and old_proc.is_alive():
             old_proc.kill()
-        self._spawn(worker)
+        conn = self._spawn(worker)
+        with self._mu:
+            superseded = worker.generation != generation
+            if not superseded:
+                worker.conn = conn
+                redo = [
+                    (rid, venue, row)
+                    for rid, (venue, row, _, wid, _)
+                    in self._pending.items()
+                    if wid == worker.index
+                ]
+                worker.buffer = []
+                worker.inflight = len(redo)
+        if superseded:
+            # The replacement died before it was published; the
+            # respawn that noticed owns the worker now.
+            conn.close()
+            return
         if redo:
-            self._send(worker, ("batch", redo))
+            self._send(worker, ("batch", redo), generation=generation)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -6,16 +6,19 @@ thread coalesces them into micro-batches and routes each batch through
 so concurrent traffic gets batched-path throughput without any caller
 seeing more than its own request::
 
-    pipeline = ServingPipeline(service, max_batch=256, max_delay_ms=2)
+    pipeline = ServingPipeline(service, max_batch=256)
     with pipeline:
         ticket = pipeline.submit("kaide", scan)      # non-blocking
         location = ticket.result(timeout=5.0)        # (2,)
         location = pipeline.locate("kaide", scan)    # submit + wait
 
-A micro-batch flushes when it reaches ``max_batch`` rows or when its
-oldest request has waited ``max_delay_ms`` — the classic
-size-or-deadline policy, so a lone request is never stuck behind an
-empty queue and a burst is never chopped into tiny batches.
+Batching is work-conserving: the flusher serves whatever is queued
+(up to ``max_batch`` rows) the moment it is idle, and requests that
+arrive while a batch is being served join the next one.  Batch size
+therefore follows load instead of a clock — a lone request is served
+at once, and a burst queued behind a busy flusher goes out as one
+batch.  ``max_delay_ms`` is an opt-in hold: a positive value keeps a
+partial batch open until its oldest request has waited that long.
 
 Two hot-path optimisations keep the per-request overhead near the
 single-caller batched path:
@@ -56,7 +59,9 @@ class PipelineStats:
     enqueue); ``flushed`` the requests served through micro-batches.
     ``full_flushes`` / ``deadline_flushes`` / ``drain_flushes`` break
     the batches down by what triggered them (size reached, oldest
-    request timed out, pipeline stop).
+    request's hold expired, pipeline stop).  With the default zero
+    hold, a partial batch served by an idle flusher counts under
+    ``deadline_flushes``.
     """
 
     submitted: int = 0
@@ -156,9 +161,9 @@ class ServingPipeline:
     max_batch:
         Flush as soon as this many requests are queued.
     max_delay_ms:
-        Flush when the oldest queued request has waited this long,
-        even if the batch is not full.  0 flushes eagerly (whatever is
-        queued when the flusher wakes).
+        Hold a partial batch until its oldest request has waited this
+        long.  The default 0 flushes eagerly: an idle flusher serves
+        whatever is queued when it wakes.
 
     Use as a context manager, or call :meth:`start` / :meth:`stop`
     explicitly; :meth:`stop` drains every queued request before
@@ -170,7 +175,7 @@ class ServingPipeline:
         service: PositioningService,
         *,
         max_batch: int = 256,
-        max_delay_ms: float = 2.0,
+        max_delay_ms: float = 0.0,
     ):
         if max_batch < 1:
             raise ServingError("max_batch must be >= 1")

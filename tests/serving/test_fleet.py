@@ -3,6 +3,8 @@ hash-partitioned multi-process routing, and crash recovery."""
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -237,6 +239,112 @@ def test_fleet_resubmits_inflight_requests_after_crash(city):
         fleet.flush()
         got = np.stack([t.result(timeout=60.0) for t in tickets])
     np.testing.assert_array_equal(got, expected)
+
+
+def test_lone_submit_ships_to_idle_worker_without_flush(city):
+    store, mapping, pools, shards = city
+    venue = sorted(mapping)[0]
+    row = pools[venue][0]
+    # A bundle cap no single request reaches: only the credit rule
+    # (idle worker -> ship now) can get this row to its worker.
+    with ShardFleet(
+        store, mapping, workers=2, bundle_size=10_000
+    ) as fleet:
+        worker = fleet._workers[fleet.partition(venue)]
+        ticket = fleet.submit(venue, row)
+        assert worker.buffer == []
+        got = ticket.result(timeout=60.0)
+    np.testing.assert_array_equal(
+        got, shards[venue].locate(row[None])[0]
+    )
+
+
+def test_crash_with_rows_in_flight_strands_nothing(city):
+    """With no timer left to ship rows, a stale in-flight count after
+    a respawn would strand every later row for that worker."""
+    store, mapping, pools, shards = city
+    schedule = fleet_schedule(
+        pools, 48, np.random.default_rng(13), zipf_exponent=1.1
+    )
+    expected = baseline_answers(shards, schedule)
+    half = len(schedule) // 2
+    with ShardFleet(
+        store, mapping, workers=2, bundle_size=10_000
+    ) as fleet:
+        victim = fleet._workers[fleet.partition(schedule[0][0])]
+        pid = victim.proc.pid
+        # Stopped, the victim cannot answer: whatever it was sent
+        # stays in flight until the SIGKILL.
+        os.kill(pid, signal.SIGSTOP)
+        tickets = [fleet.submit(v, row) for v, row in schedule[:half]]
+        with fleet._mu:
+            assert victim.inflight > 0
+        os.kill(pid, signal.SIGKILL)
+        # The first half resolves through the respawn's resubmission;
+        # the second half then goes through the replacement's credit.
+        for ticket in tickets:
+            ticket.result(timeout=60.0)
+        assert victim.proc.pid != pid
+        assert any(
+            fleet.partition(v) == victim.index
+            for v, _ in schedule[half:]
+        )
+        tickets += [fleet.submit(v, row) for v, row in schedule[half:]]
+        got = np.stack([t.result(timeout=60.0) for t in tickets])
+        stats = fleet.stats()
+        latency = fleet.telemetry.metrics.histogram(
+            "fleet.request_seconds"
+        )
+        assert latency.count == len(schedule)
+    np.testing.assert_array_equal(got, expected)
+    assert stats.respawns == 1
+    assert stats.requests == len(schedule)
+    assert stats.requests == stats.resolved + stats.outstanding
+    assert stats.resolved == len(schedule)
+    assert stats.outstanding == 0
+    assert stats.errors == 0
+
+
+def test_concurrent_submitters_keep_credit_counts_exact(city):
+    """Submitter threads race the collectors on each worker's in-flight
+    count; a lost update would strand rows or leave the count off."""
+    store, mapping, pools, shards = city
+    schedule = fleet_schedule(
+        pools, 240, np.random.default_rng(17), zipf_exponent=1.1
+    )
+    expected = baseline_answers(shards, schedule)
+    n_threads = 6
+    tickets = [None] * len(schedule)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ShardFleet(
+            store, mapping, workers=2, bundle_size=8
+        ) as fleet:
+
+            def submitter(k):
+                for i in range(k, len(schedule), n_threads):
+                    tickets[i] = fleet.submit(*schedule[i])
+
+            threads = [
+                threading.Thread(target=submitter, args=(k,))
+                for k in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            got = np.stack([t.result(timeout=60.0) for t in tickets])
+            fleet.wait_outstanding(0, timeout=60.0)
+            with fleet._mu:
+                assert [w.inflight for w in fleet._workers] == [0, 0]
+                assert all(not w.buffer for w in fleet._workers)
+            stats = fleet.stats()
+    finally:
+        sys.setswitchinterval(switch)
+    np.testing.assert_array_equal(got, expected)
+    assert stats.requests == stats.resolved == len(schedule)
 
 
 def test_fleet_close_fails_leftover_tickets(city):

@@ -179,6 +179,44 @@ class TestCoalescing:
         assert pipeline.stats.largest_batch == 12
         assert svc.stats.batches == 1
 
+    def test_rows_arriving_during_a_flush_form_the_next_batch(
+        self, kaide_smoke, monkeypatch
+    ):
+        """Work-conserving batching: a lone row is served at once, and
+        rows queued while that flush runs go out as one batch."""
+        svc = PositioningService(cache_size=0)
+        svc.deploy(
+            "kaide",
+            kaide_smoke.radio_map,
+            MAROnlyDifferentiator(),
+            estimator=KNNEstimator(),
+        )
+        batch = scans(kaide_smoke, 6, 14)
+        entered, release = threading.Event(), threading.Event()
+        serve = svc._serve_rows
+        calls = []
+
+        def gated(*args, **kwargs):
+            calls.append(len(args[0]))
+            if len(calls) == 1:
+                entered.set()
+                release.wait(timeout=30.0)
+            return serve(*args, **kwargs)
+
+        monkeypatch.setattr(svc, "_serve_rows", gated)
+        with ServingPipeline(svc) as pipeline:
+            tickets = [pipeline.submit("kaide", batch[0])]
+            assert entered.wait(timeout=30.0)
+            tickets += [pipeline.submit("kaide", row) for row in batch[1:]]
+            release.set()
+            out = np.stack([t.result(timeout=30.0) for t in tickets])
+        np.testing.assert_allclose(
+            out, svc.shard("kaide").locate(batch), atol=1e-8
+        )
+        assert calls == [1, 5]
+        assert pipeline.stats.batches == 2
+        assert pipeline.stats.largest_batch == 5
+
     def test_max_batch_splits_flushes(self, kaide_smoke):
         svc = PositioningService(cache_size=0)
         svc.deploy(
