@@ -23,10 +23,12 @@ neighbour search both KNN variants build on.  Two interchangeable
 backends feed the same canonical selection
 (:func:`~repro.positioning.index.canonical_k_smallest`):
 
-* **brute force** — the full pairwise squared-distance matrix via the
-  ``‖a‖² + ‖b‖² − 2·a·b`` expansion (two reductions and one matmul),
-  or the slower cancellation-free exact path with
-  ``pairwise_sq_dists(..., exact=True)``;
+* **brute force** — pairwise squared distances to every record via
+  the ``‖a‖² + ‖b‖² − 2·a·b`` expansion (two reductions and one
+  matmul), or the slower cancellation-free exact path with
+  ``pairwise_sq_dists(..., exact=True)``, computed and selected per
+  query chunk so a large batch never holds its whole ``(b, N)``
+  matrix;
 * **spatial index** — a :class:`~repro.positioning.index.SpatialIndex`
   over the radio map, used when the ``spatial_index`` mode requests it
   (``"auto"`` builds one at ``INDEX_MIN_RECORDS`` and above).  The
@@ -53,6 +55,12 @@ from .index import (
 #: Valid values of the ``spatial_index`` estimator field.
 INDEX_MODES = ("auto", "on", "off")
 
+#: Memory budget of the brute-force paths, in array elements: the
+#: exact distance path keeps at most this many difference elements
+#: alive, and the brute neighbour search keeps each query chunk's
+#: distance blocks within it.
+_CHUNK_ELEMS = 1 << 23
+
 
 def _validate_training(fingerprints: np.ndarray, locations: np.ndarray):
     fp = np.asarray(fingerprints, dtype=float)
@@ -71,7 +79,7 @@ def pairwise_sq_dists(
     refs: np.ndarray,
     *,
     exact: bool = False,
-    chunk_elems: int = 1 << 23,
+    chunk_elems: int = _CHUNK_ELEMS,
 ) -> np.ndarray:
     """``(n, m)`` squared Euclidean distances.
 
@@ -270,11 +278,40 @@ class NearestNeighbourEstimator(LocationEstimator):
         if index is not None and k < n:
             d2k, idx = index.query(queries, k, kernel=self.spatial_kernel)
         else:
+            d2k, idx = self._brute_k_smallest(queries, k)
+        return np.sqrt(d2k), self._loc[idx]
+
+    def _brute_k_smallest(
+        self, queries: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Brute-force distances + canonical selection, per query chunk.
+
+        Both the distance expansion and the selection peak at about two
+        ``(rows, N)`` float64 blocks, so a chunk holds at most ``rows``
+        queries with ``2 * rows * N`` within :data:`_CHUNK_ELEMS`.  A
+        batch under that budget runs as one unchunked call.  Larger
+        batches fill the ``(b, k)`` outputs chunk by chunk; the chunks
+        are balanced, and ``rows`` is at least 4, so no chunk shrinks
+        to one row: a one-row product runs as a matrix-vector kernel
+        whose rounding differs from the same row of a batched GEMM.
+        """
+        b, n = queries.shape[0], self._fp.shape[0]
+        rows = max(4, _CHUNK_ELEMS // (2 * n))
+        if b <= rows:
             d2 = pairwise_sq_dists(
                 queries, self._fp, exact=self.exact_distances
             )
-            d2k, idx = canonical_k_smallest(d2, k)
-        return np.sqrt(d2k), self._loc[idx]
+            return canonical_k_smallest(d2, k)
+        d2k = np.empty((b, k))
+        idx = np.empty((b, k), dtype=np.int64)
+        for chunk in np.array_split(np.arange(b), -(-b // rows)):
+            s, e = chunk[0], chunk[-1] + 1
+            d2 = pairwise_sq_dists(
+                queries[s:e], self._fp, exact=self.exact_distances
+            )
+            d2k[s:e], idx[s:e] = canonical_k_smallest(d2, k)
+            del d2  # free this block before the next chunk's
+        return d2k, idx
 
     def _predict_batch(self, queries: np.ndarray) -> np.ndarray:
         return self._combine(*self._neighbours(queries))

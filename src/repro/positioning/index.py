@@ -12,10 +12,13 @@ which is what caps serve throughput on large maps.
    whole buckets against a per-query upper bound obtained by probing
    the nearest buckets.
 2. **Block filtering** — surviving buckets are stored row-contiguous,
-   so candidate distances come from small float32 GEMMs over
-   *centered* data (no per-row gathers).  The float32 expansion is
-   only a bound: a conservative error margin keeps every reference
-   whose true distance could reach the upper bound.
+   so candidate distances come from float32 GEMMs over *centered*
+   data (no per-row gathers).  Each GEMM reads one contiguous slice
+   and covers only the rows its queries need: a probe band spans at
+   most ``_PROBE_BAND_ROWS`` rows, and a stage-2 rectangle runs from
+   its band's first to its last needed bucket.  The float32
+   expansion is only a bound: a conservative error margin keeps every
+   reference whose true distance could reach the upper bound.
 3. **Exact finish** — the few finalists per query are re-evaluated
    with per-pair exact float64 ``((a-b)**2).sum()`` arithmetic and fed
    through :func:`canonical_k_smallest`.
@@ -57,7 +60,7 @@ __all__ = [
 ]
 
 #: Query kernels: ``"grouped"`` (default) evaluates stage 1b and
-#: stage 2 with one GEMM per size-capped band of buckets; ``"bucket"``
+#: stage 2 with one GEMM per row-capped band of buckets; ``"bucket"``
 #: is the previous per-bucket loop, kept selectable so benchmarks and
 #: CI can A/B the two in the same process.  Both are exact and return
 #: bit-identical results.
@@ -93,12 +96,17 @@ _REFRESH_MIN_KEPT = 0.5
 #: Row cap per stage-2 band.  Bucket ids are spatially ordered (the
 #: grid code is row-major), so a run of consecutive ids is a cluster
 #: of neighbouring cells whose active-query sets overlap heavily —
-#: that keeps the band rectangles dense.  Bigger bands mean fewer
-#: Python iterations but more wasted GEMM rows.
+#: that keeps the band rectangles dense.  Each band's rectangle is
+#: trimmed to its active buckets, and touching rectangles with the
+#: same active queries run as one GEMM, so the cap only bounds how
+#: far one rectangle spreads across queries with different needs.
 _BAND_ROWS = 768
 
-#: Row cap per probe band (stage 1b); probe pools are small, so the
-#: cap mostly bounds the per-band rectangle width.
+#: Cap on the row span one probe band (stage 1b) reads: the distinct
+#: probed buckets are grouped greedily in id order while the slice
+#: from the band's first bucket to its last stays within the cap, so
+#: un-probed rows between two far-apart probed buckets are never
+#: swept.  A single bucket larger than the cap is a band of its own.
 _PROBE_BAND_ROWS = 1024
 
 #: Above this many elements a dense per-query scatter for pool/finish
@@ -137,6 +145,7 @@ class KernelStats:
                 setattr(self, name, 0.0)
             self.candidates = 0
             self.gemm_rows = 0
+            self.probe_rows = 0
             self.queries = 0
             self.calls = 0
 
@@ -147,12 +156,13 @@ class KernelStats:
         self.enabled = False
 
     def add(self, stages: Dict[str, float], candidates: int,
-            gemm_rows: int, queries: int) -> None:
+            gemm_rows: int, queries: int, probe_rows: int = 0) -> None:
         with self._lock:
             for name, value in stages.items():
                 setattr(self, name, getattr(self, name) + value)
             self.candidates += candidates
             self.gemm_rows += gemm_rows
+            self.probe_rows += probe_rows
             self.queries += queries
             self.calls += 1
 
@@ -168,6 +178,7 @@ class KernelStats:
                 busy_s=sum(out.values()),
                 candidates=float(self.candidates),
                 gemm_rows=float(self.gemm_rows),
+                probe_rows=float(self.probe_rows),
                 queries=float(self.queries),
                 calls=float(self.calls),
             )
@@ -190,7 +201,8 @@ class KernelStats:
             counter.add(snap[stage] - counter.value)
         counter = metrics.counter(f"{prefix}.busy_seconds")
         counter.add(snap["busy_s"] - counter.value)
-        for name in ("candidates", "gemm_rows", "queries", "calls"):
+        for name in ("candidates", "gemm_rows", "probe_rows", "queries",
+                     "calls"):
             counter = metrics.counter(f"{prefix}.{name}")
             counter.add(snap[name] - counter.value)
 
@@ -415,23 +427,15 @@ class SpatialIndex:
         self._box2_lo = np.ascontiguousarray(box_lo[:, :w2])
         self._box2_hi = np.ascontiguousarray(box_hi[:, :w2])
 
-        # Stage-2 band boundaries: bucket-id runs capped at
-        # ``_BAND_ROWS`` rows.  Empty buckets occupy zero rows, so a
-        # run of consecutive ids is always one contiguous slice of
-        # ``_centered32`` — each band is evaluated with a single GEMM
-        # over that slice, no gathers, no extra copy of the map.
-        band_of_bucket = (np.cumsum(self._counts) - 1) // _BAND_ROWS
-        np.maximum(band_of_bucket, 0, out=band_of_bucket)
-        n_bands = int(band_of_bucket.max(initial=0)) + 1
-        # bucket-id boundary of each band (band bd covers ids
-        # [_band_bounds[bd], _band_bounds[bd+1]))
-        bounds = np.searchsorted(
-            band_of_bucket, np.arange(n_bands + 1)
-        )
-        self._band_of_bucket = band_of_bucket
-        self._band_bounds = bounds
-        self._band_rows = self._offsets[bounds]
-        self._n_bands = n_bands
+        # Stage-2 bands: bucket-id runs capped at ``_BAND_ROWS`` rows.
+        # Empty buckets occupy zero rows, so a run of consecutive ids
+        # is always one contiguous slice of ``_ext32`` — no gathers,
+        # no extra copy of the map.  Bands are numbered densely, and
+        # ``_band_starts`` holds each band's first bucket id.
+        band = np.maximum((np.cumsum(self._counts) - 1) // _BAND_ROWS, 0)
+        is_start = np.diff(band, prepend=-1) != 0
+        self._band_starts = np.flatnonzero(is_start)
+        self._band_of_bucket = np.cumsum(is_start) - 1
 
     # ------------------------------------------------------------------
     # Introspection / persistence
@@ -647,14 +651,29 @@ class SpatialIndex:
 
         Both GEMM stages run over *bands* — runs of consecutive bucket
         ids capped at a row budget — so the Python iteration count is
-        O(bands), not O(buckets).  The probe pool extracts exactly the
-        probed ``(query, bucket)`` pair values from each band
-        rectangle through one flat CSR gather; stage 2 thresholds the
-        whole band rectangle first and compacts with a single
-        ``flatnonzero`` (over-inclusion is free: every kept pair is
-        re-evaluated exactly in stage 3, and each bucket lives in
-        exactly one band so no pair can appear twice).  Unlike the
-        bucket kernel, probe buckets are *not* excluded from stage 2 —
+        O(bands), not O(buckets), and every GEMM is sized to the rows
+        the batch touches:
+
+        * a probe band is a run of distinct *probed* buckets whose row
+          span — first probed bucket to last — fits
+          ``_PROBE_BAND_ROWS``, so far-apart probes never pull in the
+          rows between them;
+        * a stage-2 band is a fixed ``_BAND_ROWS`` run of bucket ids,
+          trimmed to the rows from its first to its last needed
+          bucket; rectangles that touch and need the same queries
+          merge into one GEMM (no extra cells, so the rule needs no
+          tuning).
+
+        Every GEMM is reference-major ``(rows, queries)``: for the
+        few query rows of a serving batch OpenBLAS runs it about
+        twice as fast as ``(queries, rows)``.  The probe pool extracts
+        exactly the probed ``(query, bucket)`` pair values from each
+        band rectangle through one flat CSR gather; stage 2
+        thresholds the whole rectangle first and compacts with a
+        single ``flatnonzero`` (over-inclusion is free: every kept
+        pair is re-evaluated exactly in stage 3, and each bucket lives
+        in exactly one rectangle so no pair can appear twice).  Unlike
+        the bucket kernel, probe buckets are *not* excluded from stage 2 —
         re-filtering their few rows costs less than masking them out
         of the rectangles, and the probe pool is used only for the
         upper bound.  Candidate sets therefore differ between kernels,
@@ -678,46 +697,50 @@ class SpatialIndex:
         t0 = tick()
 
         # ---- stage 1b: banded probe pool ---------------------------
-        # Probe pairs sorted by bucket id; bands chunk the distinct
-        # probed buckets at ~_PROBE_BAND_ROWS probed rows.  Each band
-        # GEMMs the contiguous id-range slice (interleaved un-probed
-        # rows ride along in the GEMM but are never extracted).
+        # Probe pairs sorted by bucket id.  A band is a run of distinct
+        # probed buckets whose row span fits ``_PROBE_BAND_ROWS``; its
+        # GEMM reads exactly that slice for the queries that probe it,
+        # and the probed pair values come out through one flat CSR
+        # gather.
         pq = np.repeat(np.arange(b), n_probe)
         pb = near[pq, _ramp(n_probe)]
         order = np.argsort(pb, kind="stable")
         pq, pb = pq[order], pb[order]
-        ubuck, bucket_pos = np.unique(pb, return_inverse=True)
-        bsz = self._counts[ubuck]
-        pband_of_bucket = (np.cumsum(bsz) - 1) // _PROBE_BAND_ROWS
-        n_pbands = int(pband_of_bucket[-1]) + 1 if bsz.size else 0
-        pband = pband_of_bucket[bucket_pos]
-        # band -> contiguous bucket-id range [lo, hi)
-        pb_seg = np.searchsorted(
-            pband_of_bucket, np.arange(n_pbands + 1)
-        )
         offsets = self._offsets
-        lens_p = bsz[bucket_pos]
-        pair_seg = np.searchsorted(pband, np.arange(n_pbands + 1))
+        pstart = offsets[pb]
+        lens_p = offsets[pb + 1] - pstart
+        # first pair of each distinct probed bucket, and its row slice
+        ufirst = np.flatnonzero(np.diff(pb, prepend=-1))
+        ustart = pstart[ufirst]
+        uend = ustart + lens_p[ufirst]
+        pair_seg = np.append(ufirst, pb.size)
         # element ramp + per-pair output offsets, shared across bands
         pos_ramp = _ramp(lens_p)
         lens_cum = np.concatenate([[0], np.cumsum(lens_p)])
         pool_qi = np.repeat(pq, lens_p)
         pool_parts: List[np.ndarray] = []
-        for bd in range(n_pbands):
-            blo = ubuck[pb_seg[bd]]
-            bhi = ubuck[pb_seg[bd + 1] - 1] + 1
-            s, e = offsets[blo], offsets[bhi]
-            ps, pe = pair_seg[bd], pair_seg[bd + 1]
+        probe_rows = 0
+        lo = 0
+        while lo < ufirst.size:
+            hi = max(
+                lo + 1,
+                int(np.searchsorted(
+                    uend, ustart[lo] + _PROBE_BAND_ROWS, side="right"
+                )),
+            )
+            s, e = ustart[lo], uend[hi - 1]
+            ps, pe = pair_seg[lo], pair_seg[hi]
             qrows = np.unique(pq[ps:pe])
+            nq = qrows.size
             qpos = np.empty(b, np.int64)
-            qpos[qrows] = np.arange(qrows.size)
-            gram = qext[qrows] @ self._ext32[s:e].T
-            # flat CSR extraction of the probed pair values
-            width = e - s
-            head = qpos[pq[ps:pe]] * width + (offsets[pb[ps:pe]] - s)
+            qpos[qrows] = np.arange(nq)
+            gram = self._ext32[s:e] @ qext[qrows].T  # (rows, queries)
+            head = (pstart[ps:pe] - s) * nq + qpos[pq[ps:pe]]
             flat = np.repeat(head, lens_p[ps:pe])
-            flat += pos_ramp[lens_cum[ps]:lens_cum[pe]]
+            flat += pos_ramp[lens_cum[ps]:lens_cum[pe]] * nq
             pool_parts.append(gram.ravel()[flat])
+            probe_rows += nq * int(e - s)
+            lo = hi
         pool_v = (
             np.concatenate(pool_parts)
             if pool_parts
@@ -755,56 +778,60 @@ class SpatialIndex:
         # ---- stage 2: banded rectangles, threshold-first compaction
         # With the qf slot rewritten to qf - t, each fused rectangle
         # holds d2 - t directly and survivors are just gram <= 0 — one
-        # GEMM and one scan per band, nothing elementwise in between.
-        # The fused accumulation rounds differently from the legacy
-        # three-pass expansion, but both stay within the shared f32
-        # margin, which is all stage 2 ever promises.
+        # GEMM and one scan per rectangle, nothing elementwise in
+        # between.  The fused accumulation rounds differently from the
+        # legacy three-pass expansion, but both stay within the shared
+        # f32 margin, which is all stage 2 ever promises.
         qext[:, dq] = qf32 - thresh32
-        pair_band = self._band_of_bucket[abi]
-        code = pair_band * np.int64(b) + aqi
-        code = np.unique(code)
-        act_q = (code % b).astype(np.int64)
-        band_seg = np.searchsorted(
-            code // b, np.arange(self._n_bands + 1)
-        )
-        # active-bucket id range per band: trims each rectangle's
-        # columns to the rows its surviving buckets actually occupy
-        # instead of paying the full band slice.
-        bord = np.argsort(pair_band, kind="stable")
-        abi_bb = abi[bord]
-        bband_seg = np.searchsorted(
-            pair_band[bord], np.arange(self._n_bands + 1)
-        )
-        qi_parts: List[np.ndarray] = []
-        ri_parts: List[np.ndarray] = []
+        # Which queries need each band, and the rows its rectangle
+        # spans: from the band's first to its last needed bucket.
+        need = np.zeros((b, self.n_buckets), dtype=bool)
+        need[aqi, abi] = True
+        band_q = np.logical_or.reduceat(need, self._band_starts, axis=1)
+        act_b = np.flatnonzero(need.any(axis=0))
+        act_band = self._band_of_bucket[act_b]
+        first = np.flatnonzero(np.diff(act_band, prepend=-1))
+        rect_s = offsets[act_b[first]]
+        rect_e = offsets[act_b[np.append(first[1:], act_b.size) - 1] + 1]
+        rect_q = band_q.T[act_band[first]]
+        # A rectangle that touches the previous one and needs the same
+        # queries joins it: the merged GEMM covers exactly the cells of
+        # its parts, so merging sweeps no extra row.  For one query,
+        # every run of adjacent needed buckets becomes one GEMM.
+        joins = np.zeros(rect_s.size, dtype=bool)
+        joins[1:] = (rect_s[1:] == rect_e[:-1]) & (
+            rect_q[1:] == rect_q[:-1]
+        ).all(axis=1)
+        heads = np.flatnonzero(~joins)
+        tails = np.append(heads[1:], joins.size) - 1
+        rect_s, rect_e, rect_q = rect_s[heads], rect_e[tails], rect_q[heads]
+        n_q = rect_q.sum(axis=1)
+        q_of = np.nonzero(rect_q)[1]  # each rectangle's queries, in turn
+        q_first = np.concatenate([[0], np.cumsum(n_q)])
+        gemm_rows = int((n_q * (rect_e - rect_s)).sum())
+        flat_parts: List[np.ndarray] = []
         v_parts: List[np.ndarray] = []
-        gemm_rows = 0
-        for bd in range(self._n_bands):
-            clo, chi = band_seg[bd], band_seg[bd + 1]
-            if clo == chi:
-                continue
-            rows = act_q[clo:chi]
-            bks = abi_bb[bband_seg[bd]:bband_seg[bd + 1]]
-            s = offsets[int(bks.min())]
-            e = offsets[int(bks.max()) + 1]
-            gram = qext[rows] @ self._ext32[s:e].T
+        for s, e, qs, qe in zip(
+            rect_s.tolist(), rect_e.tolist(),
+            q_first[:-1].tolist(), q_first[1:].tolist(),
+        ):
+            gram = self._ext32[s:e] @ qext[q_of[qs:qe]].T
             gflat = gram.ravel()
             flat = np.flatnonzero(gflat <= 0.0)
-            width = e - s
-            gemm_rows += rows.size * width
-            qi_parts.append(rows[flat // width])
-            ri_parts.append(s + flat % width)
+            flat_parts.append(flat)
             v_parts.append(gflat[flat])
-        qi = (
-            np.concatenate(qi_parts)
-            if qi_parts
+        # Survivor positions decode to (query, row) once per batch.
+        rect = np.repeat(
+            np.arange(len(flat_parts)), [f.size for f in flat_parts]
+        )
+        flat = (
+            np.concatenate(flat_parts)
+            if flat_parts
             else np.empty(0, np.int64)
         )
-        ri = (
-            np.concatenate(ri_parts)
-            if ri_parts
-            else np.empty(0, np.int64)
-        )
+        width = n_q[rect]
+        qi = q_of[q_first[rect] + flat % width]
+        ri = rect_s[rect] + flat // width
         t4 = tick()
 
         # ---- f32 refine: shrink the exact finish ------------------
@@ -838,6 +865,7 @@ class SpatialIndex:
                 candidates=int(qi.size),
                 gemm_rows=int(gemm_rows),
                 queries=b,
+                probe_rows=int(probe_rows),
             )
         return out
 

@@ -24,13 +24,16 @@ Two sections cover this PR's index-bound serving work:
   speedup, and the max-abs parity between the two answers (the index
   is exact, so this must be 0).  The indexed side additionally A/Bs
   the two query kernels — the grouped CSR-GEMM path against the
-  legacy per-bucket loop, rounds interleaved — and attributes one
-  instrumented grouped batch to its pipeline stages
+  legacy per-bucket loop, rounds interleaved — and attributes grouped
+  calls at batch 1, 4 and 256 to their pipeline stages
   (probe/select/bound/gemm/finish, via
-  :data:`~repro.positioning.index.KERNEL_STATS`); the stage
-  breakdown, ``kernel_speedup`` and ``kernel_parity`` land in the
-  result data.  ``--no-spatial-index`` skips the indexed side so CI
-  can A/B the two CLI runs.
+  :data:`~repro.positioning.index.KERNEL_STATS`).  It also checks the
+  indexed answers against brute force at serving batch sizes 1, 4
+  and 8.  The stage breakdowns (``kernel_stages`` at batch 256,
+  ``kernel_stages_by_batch``), ``small_batch_parity``,
+  ``kernel_speedup`` and ``kernel_parity`` land in the result data.
+  ``--no-spatial-index`` skips the indexed side so CI can A/B the two
+  CLI runs.
 * **precompute** — the kaide venue with a trained BiSIM, served once
   through the PR-5 path (encoder imputation per batch,
   :class:`EncoderCompletion`) and once through this PR's build-time
@@ -62,6 +65,14 @@ from .loadgen import scan_pool
 from .service import PositioningService, VenueShard
 
 BATCH_SIZES = (1, 64, 256)
+
+#: Batch sizes of the fleet-scale kernel stage attribution: single
+#: fixes and the small flushes a work-conserving batcher ships under
+#: light load, beside the full batch.
+STAGE_BATCHES = (1, 4, max(BATCH_SIZES))
+
+#: Batch sizes of the small-batch indexed-vs-brute parity check.
+PARITY_BATCHES = (1, 4, 8)
 
 #: Fleet-scale synthetic venue dimensions; the record count scales
 #: with the preset's ``venue_scale`` (32768 under ``bench``).
@@ -112,6 +123,34 @@ def _fleet_service(
         )
     )
     return service
+
+
+def _kernel_stages(
+    service: PositioningService, queries: np.ndarray, size: int
+) -> Dict[str, float]:
+    """Per-call kernel stage attribution of ``queries`` served in
+    consecutive batches of ``size`` rows (``KERNEL_STATS``)."""
+    calls = len(queries) // size
+    KERNEL_STATS.reset()
+    KERNEL_STATS.enable()
+    try:
+        for i in range(calls):
+            rows = queries[i * size:(i + 1) * size]
+            service.query_batch(["fleet"] * size, rows)
+    finally:
+        KERNEL_STATS.disable()
+    snap = KERNEL_STATS.snapshot()
+    KERNEL_STATS.reset()
+    per_call = {
+        f"{name[:-2]}_ms": 1e3 * snap[name] / calls
+        for name in ("probe_s", "select_s", "bound_s", "gemm_s",
+                     "finish_s", "busy_s")
+    }
+    per_call.update(
+        (name, snap[name] / calls)
+        for name in ("candidates", "probe_rows", "gemm_rows")
+    )
+    return per_call
 
 
 def _fleet_qps(
@@ -261,6 +300,8 @@ def run(
     kernel_speedup = None
     kernel_parity = None
     kernel_stages: Optional[Dict[str, float]] = None
+    stages_by_batch: Optional[Dict[int, Dict[str, float]]] = None
+    small_parity: Optional[Dict[int, float]] = None
     if spatial_index:
         # Kernel A/B over identical indexed shards: grouped CSR
         # GEMM vs the legacy per-bucket loop, rounds interleaved so
@@ -289,27 +330,29 @@ def run(
         fleet_speedup = indexed_qps / brute_qps
         fleet_parity = float(np.abs(indexed_out - brute_out).max())
 
-        # Stage attribution: one instrumented batch through the
-        # grouped kernel (timing gates on the enabled flag, so the
-        # A/B rounds above paid nothing for it).
-        KERNEL_STATS.reset()
-        KERNEL_STATS.enable()
-        try:
-            grouped_svc.query_batch(fleet_keys, fleet_q)
-        finally:
-            KERNEL_STATS.disable()
-        snap = KERNEL_STATS.snapshot()
-        KERNEL_STATS.reset()
-        kernel_stages = {
-            "probe_ms": 1e3 * snap["probe_s"],
-            "select_ms": 1e3 * snap["select_s"],
-            "bound_ms": 1e3 * snap["bound_s"],
-            "gemm_ms": 1e3 * snap["gemm_s"],
-            "finish_ms": 1e3 * snap["finish_s"],
-            "busy_ms": 1e3 * snap["busy_s"],
-            "candidates": snap["candidates"],
-            "gemm_rows": snap["gemm_rows"],
+        # Stage attribution through the grouped kernel, per call at
+        # each of STAGE_BATCHES (timing gates on the enabled flag, so
+        # the A/B rounds above paid nothing for it).
+        stages_by_batch = {
+            size: _kernel_stages(grouped_svc, fleet_q, size)
+            for size in STAGE_BATCHES
         }
+        kernel_stages = stages_by_batch[max(BATCH_SIZES)]
+        # Small-batch parity: the indexed answers at serving batch
+        # sizes against the brute-force service at the same sizes.
+        brute_svc = _fleet_service(fleet_fp, fleet_rps, "off")
+        small_parity = {}
+        for size in PARITY_BATCHES:
+            worst = 0.0
+            for start in range(0, 64, size):
+                rows = fleet_q[start:start + size]
+                keys = fleet_keys[:len(rows)]
+                diff = np.abs(
+                    grouped_svc.query_batch(keys, rows)
+                    - brute_svc.query_batch(keys, rows)
+                )
+                worst = max(worst, float(diff.max()))
+            small_parity[size] = worst
         lines.append(
             f"fleet scale (N={fleet_n}, D={FLEET_APS}, batch "
             f"{max(BATCH_SIZES)}): brute {brute_qps:.0f} q/s | "
@@ -321,15 +364,24 @@ def run(
             f"per-bucket loop {bucket_qps:.0f} q/s "
             f"({kernel_speedup:.2f}x, parity {kernel_parity:.1e})"
         )
+        for size, stages in stages_by_batch.items():
+            lines.append(
+                f"kernel stages, batch {size} (ms per call): "
+                f"probe {stages['probe_ms']:.2f} | "
+                f"select {stages['select_ms']:.2f} | "
+                f"bound {stages['bound_ms']:.2f} | "
+                f"gemm {stages['gemm_ms']:.2f} | "
+                f"finish {stages['finish_ms']:.2f}; "
+                f"candidates {stages['candidates']:.0f}, "
+                f"probe rows {stages['probe_rows']:.0f}, "
+                f"gemm rows {stages['gemm_rows']:.0f}"
+            )
         lines.append(
-            "kernel stages (ms): "
-            f"probe {kernel_stages['probe_ms']:.1f} | "
-            f"select {kernel_stages['select_ms']:.1f} | "
-            f"bound {kernel_stages['bound_ms']:.1f} | "
-            f"gemm {kernel_stages['gemm_ms']:.1f} | "
-            f"finish {kernel_stages['finish_ms']:.1f}; "
-            f"candidates {kernel_stages['candidates']:.0f}, "
-            f"gemm rows {kernel_stages['gemm_rows']:.0f}"
+            "small-batch parity vs brute force: "
+            + ", ".join(
+                f"batch {size} {diff:.1e}"
+                for size, diff in small_parity.items()
+            )
         )
     else:
         lines.append(
@@ -480,6 +532,8 @@ def run(
             "kernel_speedup": kernel_speedup,
             "kernel_parity": kernel_parity,
             "kernel_stages": kernel_stages,
+            "kernel_stages_by_batch": stages_by_batch,
+            "small_batch_parity": small_parity,
             "bisim_before_throughput": before_qps,
             "bisim_after_throughput": after_qps,
             "precompute_speedup": precompute_speedup,

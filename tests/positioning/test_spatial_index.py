@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import PositioningError
 from repro.positioning import (
     INDEX_MIN_RECORDS,
+    KERNEL_STATS,
     KNNEstimator,
     SpatialIndex,
     WKNNEstimator,
@@ -100,6 +103,74 @@ class TestExactDistances:
         whole = pairwise_sq_dists(q, fp, exact=True)
         chunked = pairwise_sq_dists(q, fp, exact=True, chunk_elems=64)
         np.testing.assert_array_equal(whole, chunked)
+
+
+class TestBruteChunking:
+    """The brute neighbour search bounds its memory per query chunk."""
+
+    def test_batch_under_budget_is_one_unchanged_call(self):
+        fp, loc = synthetic_map(3000, d=16, seed=70)
+        q = queries_near(fp, 40, seed=71)
+        for exact in (False, True):
+            est = KNNEstimator(
+                k=5, spatial_index="off", exact_distances=exact
+            ).fit(fp, loc)
+            d2k, idx = est._brute_k_smallest(q, 5)
+            ed2, eids = canonical_k_smallest(
+                pairwise_sq_dists(q, fp, exact=exact), 5
+            )
+            np.testing.assert_array_equal(idx, eids)
+            np.testing.assert_array_equal(d2k, ed2)
+
+    def test_chunks_are_balanced_and_never_one_row(self, monkeypatch):
+        from repro.positioning import base
+
+        fp, loc = synthetic_map(1000, d=8, seed=72)
+        q = queries_near(fp, 37, seed=73)
+        est = WKNNEstimator(k=4, spatial_index="off").fit(fp, loc)
+        whole = est.predict(q, squeeze=False)
+        exact = WKNNEstimator(
+            k=4, spatial_index="off", exact_distances=True
+        ).fit(fp, loc)
+        exact_whole = exact.predict(q, squeeze=False)
+        seen = []
+        real = base.pairwise_sq_dists
+
+        def recording(queries, refs, **kw):
+            seen.append(len(queries))
+            return real(queries, refs, **kw)
+
+        monkeypatch.setattr(base, "pairwise_sq_dists", recording)
+        # 8 rows per chunk: 37 rows run as 5 balanced chunks.
+        monkeypatch.setattr(base, "_CHUNK_ELEMS", 2 * 1000 * 8)
+        chunked = est.predict(q, squeeze=False)
+        assert seen == [8, 8, 7, 7, 7]
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-9)
+        # The exact path is row-independent: chunking keeps its bits.
+        np.testing.assert_array_equal(
+            exact.predict(q, squeeze=False), exact_whole
+        )
+        # The smallest chunk (4 rows) splits 5 rows as 3 + 2, never
+        # leaving a one-row remainder.
+        seen.clear()
+        monkeypatch.setattr(base, "_CHUNK_ELEMS", 1)
+        est.predict(q[:5], squeeze=False)
+        assert seen == [3, 2]
+
+    def test_over_budget_batch_peak_memory_is_bounded(self):
+        import tracemalloc
+
+        n = 32768
+        fp, loc = synthetic_map(n, d=8, seed=74)
+        q = queries_near(fp, 256, seed=75)
+        est = WKNNEstimator(k=3, spatial_index="off").fit(fp, loc)
+        tracemalloc.start()
+        est.predict(q, squeeze=False)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # One (256, n) float64 block alone is 64 MB; the chunked
+        # search stays near two (128, n) blocks.
+        assert peak < 2.5 * 128 * n * 8
 
 
 class TestIndexParity:
@@ -260,6 +331,112 @@ class TestKernelParity:
         index = SpatialIndex.build(fp)
         with pytest.raises(PositioningError, match="kernel"):
             index.query(fp[:4], 2, kernel="vectorised")
+
+
+class TestSmallBatchParity:
+    """Serving batches of 1-8 queries, bit parity with brute force.
+
+    Small batches leave most bands with one or two queries, so probe
+    bands split across the map and stage-2 rectangles merge; both must
+    leave the answers bit-identical.
+    """
+
+    @staticmethod
+    def corner_queries(index, fp, n, seed):
+        """Queries alternating between the first and last bucket (the
+        two ends of the bucket order, so opposite map corners)."""
+        rng = np.random.default_rng(seed)
+        ends = [
+            fp[index.assign == index.assign.min()],
+            fp[index.assign == index.assign.max()],
+        ]
+        rows = np.array(
+            [ends[i % 2][rng.integers(len(ends[i % 2]))] for i in range(n)]
+        )
+        return rows + rng.normal(0.0, 1.0, size=(n, fp.shape[1]))
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("k", [1, 4, 17])
+    def test_corner_batches_match_brute(self, b, k):
+        fp, _ = synthetic_map(6000, d=24, seed=60)
+        index = SpatialIndex.build(fp)
+        q = self.corner_queries(index, fp, b, seed=61 + b)
+        ed2, eids = brute_exact(q, fp, k)
+        for kernel in ("grouped", "bucket"):
+            d2, ids = index.query(q, k, kernel=kernel)
+            np.testing.assert_array_equal(ids, eids, err_msg=kernel)
+            np.testing.assert_array_equal(d2, ed2, err_msg=kernel)
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 5, 8])
+    def test_random_small_batches_match_brute(self, b):
+        fp, _ = synthetic_map(5000, d=32, seed=62)
+        index = SpatialIndex.build(fp)
+        for seed in range(4):
+            q = queries_near(fp, b, seed=63 + 10 * b + seed)
+            d2, ids = index.query(q, 5)
+            ed2, eids = brute_exact(q, fp, 5)
+            np.testing.assert_array_equal(ids, eids)
+            np.testing.assert_array_equal(d2, ed2)
+
+    def test_probe_band_reads_only_its_span(self):
+        # Two queries at opposite corners probe buckets at both ends
+        # of the map; the probe GEMMs must not sweep the rows between.
+        fp, _ = synthetic_map(6000, d=24, seed=64)
+        index = SpatialIndex.build(fp)
+        q = self.corner_queries(index, fp, 2, seed=65)
+        KERNEL_STATS.reset()
+        KERNEL_STATS.enable()
+        try:
+            index.query(q, 3)
+        finally:
+            KERNEL_STATS.disable()
+        snap = KERNEL_STATS.snapshot()
+        KERNEL_STATS.reset()
+        assert snap["queries"] == 2
+        assert 0 < snap["probe_rows"] <= 2 * 1024
+
+
+@st.composite
+def adversarial_maps(draw):
+    """Small radio maps built to stress the kernel's bounds: exact
+    duplicate rows, integer RSSIs (ties at the k-th value), tight far
+    clusters (empty grid cells between them), and D from 1 up."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 5, 12, 31, 40]))
+    n_base = draw(st.integers(30, 1500))
+    layout = draw(st.sampled_from(["spread", "clusters"]))
+    if layout == "spread":
+        base = rng.uniform(-95.0, -20.0, size=(n_base, d))
+    else:
+        centres = rng.choice([-90.0, -25.0], size=(3, d))
+        base = centres[rng.integers(0, 3, size=n_base)] + rng.normal(
+            0.0, 0.7, size=(n_base, d)
+        )
+    fp = np.repeat(base, draw(st.integers(1, 4)), axis=0)
+    integer = draw(st.booleans())
+    if integer:
+        fp = np.rint(fp)
+    b = draw(st.sampled_from([1, 2, 3, 5, 8, 19]))
+    picks = rng.integers(0, fp.shape[0], size=b)
+    q = fp[picks] + rng.normal(0.0, 2.0, size=(b, d)) * rng.integers(
+        0, 2, size=(b, 1)
+    )
+    if integer:
+        q = np.rint(q)
+    k = draw(st.integers(1, min(17, fp.shape[0])))
+    return fp, q, k
+
+
+class TestAdversarialProperty:
+    @given(adversarial_maps())
+    @settings(max_examples=40, deadline=None)
+    def test_grouped_kernel_bit_identical(self, case):
+        fp, q, k = case
+        index = SpatialIndex.build(fp)
+        d2, ids = index.query(q, k)
+        ed2, eids = brute_exact(q, fp, k)
+        np.testing.assert_array_equal(ids, eids)
+        np.testing.assert_array_equal(d2, ed2)
 
 
 class TestSelectionMemory:
